@@ -15,23 +15,32 @@ its *prefix* becomes deletable the moment a checkpoint covers it.  Here:
   itself (deferred BEGINs, post-abort traffic) land in the ``router``
   stream.  Out-of-loop mutations (explicit sweeps, batch flushes) are
   logged as *control* records so replay reproduces them too.
-* **Incremental checkpoints** — every ``checkpoint_interval`` records the
-  engine's :meth:`snapshot` *core* (graph kernel, currency, counters —
-  ``include_logs=False``) is written atomically (tmp file + fsync +
-  ``os.replace``), together with a **delta** of the history-sized
-  sections (step results, deletion ids) accumulated since the previous
-  checkpoint.  Per-checkpoint cost is O(live state + interval), not
-  O(history) — checkpoints stay cheap forever, which is what makes a
-  small interval affordable (benchmarked in E17).
+* **Incremental checkpoints** — every ``checkpoint_interval`` records a
+  checkpoint is written atomically (tmp file + fsync + ``os.replace``).
+  It holds the engine's *core*, ``snapshot(include_logs=False)``: live
+  state only (graph kernel, currency, counters).  The history-sized logs
+  — step results, the scheduler input log, the ordered deletion log —
+  are the paper's forgettable history, and each checkpoint stores only
+  their **delta** since the previous one: ``engine.log_delta(marks)``,
+  where *marks* is the ``engine.log_marks()`` the previous checkpoint
+  took.  A sharded engine's delta nests one per-shard delta.  This
+  module never looks inside either payload, so it serves a plain and a
+  sharded engine through the same code.  Per-checkpoint cost is O(live
+  state + interval), not O(history) — checkpoints stay cheap forever,
+  which is what makes a small interval affordable (benchmarked in E17).
+  Files are stamped ``format`` :data:`CHECKPOINT_FORMAT` (2: the
+  nested-delta shape).
 * **Truncation** — segments are grouped into *epochs* that roll at each
   checkpoint; once the checkpoint is durably on disk every segment of an
   older epoch is covered by it and deleted.  The WAL's steady-state
   footprint is one checkpoint interval of records.
 * **Recovery** — :func:`recover` loads the checkpoint chain (validating
   every link; a corrupt checkpoint **aborts** with
-  :class:`~repro.errors.RecoveryError`), splices the log deltas back into
-  the latest core, restores the engine via :func:`repro.io.restore_engine`,
-  then replays the WAL tail in sequence order.  A torn *final* record —
+  :class:`~repro.errors.RecoveryError`), hands the latest core plus the
+  chain of deltas to :func:`repro.io.restore_engine` (the engine class
+  splices its own logs back in), then replays the WAL tail in sequence
+  order; the restored engine's ``log_marks()`` are the next checkpoint's
+  starting marks.  A torn *final* record —
   the one artifact a crash mid-append can legally produce — is detected,
   dropped, and repaired in place; an unreadable record anywhere else, or
   a gap in the sequence, raises
@@ -53,14 +62,13 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine import (
-    BatchResult,
+    BatchFeeder,
     EngineConfig,
     EngineObserver,
-    ShardedEngine,
     build_engine,
 )
 from repro.errors import (
@@ -75,14 +83,12 @@ from repro.faults import StorageIO
 from repro.io import (
     atomic_write_json,
     restore_engine,
-    step_result_to_dict,
-    step_to_dict,
     wal_record_from_line,
     wal_record_to_line,
 )
 from repro.io import WAL_RECORD_FORMAT
 from repro.model.steps import Begin, Finish, Read, Step, Write, WriteItem
-from repro.scheduler.events import Decision, StepResult
+from repro.scheduler.events import StepResult
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -96,7 +102,7 @@ __all__ = [
 MANIFEST_FORMAT = 1
 MANIFEST_KIND = "wal-manifest"
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 CHECKPOINT_KIND = "durability-checkpoint"
 
 _SEGMENTS_DIR = "segments"
@@ -409,67 +415,6 @@ class _WalWriter:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint core/delta surgery
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Cursors:
-    """How much of each history-sized list previous checkpoints cover.
-
-    The input log is tracked separately from the result log: a step whose
-    processing *raised* is recorded in the scheduler's input log but
-    produces no result, so the input log cannot be derived from the
-    results.
-    """
-
-    results: int = 0
-    inputs: int = 0
-    deleted: int = 0
-    shard_results: List[int] = field(default_factory=list)
-    shard_inputs: List[int] = field(default_factory=list)
-    shard_deleted: List[int] = field(default_factory=list)
-
-
-def _strip_engine_core(core: Dict[str, Any]) -> None:
-    """Drop the history-sized sections an Engine core still carries.
-
-    ``snapshot(include_logs=False)`` already omitted the scheduler logs;
-    the graph's deleted-id tombstone list and the stats' ordered deletion
-    log also grow with history and are reconstructed from the delta chain
-    at recovery, so checkpoints stay O(live state + interval).
-    """
-    core["scheduler_state"]["graph"].pop("deleted", None)
-    core["stats"].pop("deleted_ids", None)
-
-
-def _splice_engine_core(
-    core: Dict[str, Any],
-    results: List[Dict[str, Any]],
-    inputs: List[Dict[str, Any]],
-    deleted: List[Any],
-) -> None:
-    """Inverse of :func:`_strip_engine_core` + ``include_logs=False``."""
-    state = core["scheduler_state"]
-    log_len = state.pop("log_len", None)
-    if log_len is not None and log_len != len(results):
-        raise RecoveryError(
-            f"checkpoint core expects {log_len} scheduler log entries but "
-            f"the delta chain reconstructs {len(results)}"
-        )
-    input_len = state.pop("input_len", None)
-    if input_len is not None and input_len != len(inputs):
-        raise RecoveryError(
-            f"checkpoint core expects {input_len} input-log entries but "
-            f"the delta chain reconstructs {len(inputs)}"
-        )
-    state["results"] = results
-    state["input_log"] = inputs
-    state["graph"]["deleted"] = sorted(deleted)
-    core["stats"]["deleted_ids"] = list(deleted)
-
-
-# ---------------------------------------------------------------------------
 # Recovery report
 # ---------------------------------------------------------------------------
 
@@ -501,8 +446,8 @@ class RecoveryInfo:
 # ---------------------------------------------------------------------------
 
 
-class DurableEngine:
-    """A crash-safe wrapper around :class:`Engine` / :class:`ShardedEngine`.
+class DurableEngine(BatchFeeder):
+    """A crash-safe wrapper around any engine (plain or sharded).
 
     Every fed step is WAL-appended before it is applied; a checkpoint is
     taken every *checkpoint_interval* records (0 disables the cadence —
@@ -556,23 +501,12 @@ class DurableEngine:
             seq=0,
             epoch=0,
             last_checkpoint_seq=0,
-            cursors=self._fresh_cursors(inner),
-            recovery_info=None,
+            marks=inner.log_marks(),
             write_manifest=True,
             io=io,
         )
 
     # -- construction plumbing ---------------------------------------------------
-
-    @staticmethod
-    def _fresh_cursors(inner) -> _Cursors:
-        if isinstance(inner, ShardedEngine):
-            return _Cursors(
-                shard_results=[0] * inner.shard_count,
-                shard_inputs=[0] * inner.shard_count,
-                shard_deleted=[0] * inner.shard_count,
-            )
-        return _Cursors()
 
     def _init_common(
         self,
@@ -586,15 +520,13 @@ class DurableEngine:
         seq: int,
         epoch: int,
         last_checkpoint_seq: int,
-        cursors: _Cursors,
-        recovery_info: Optional[RecoveryInfo],
+        marks: Dict[str, Any],
         write_manifest: bool,
         last_checkpoint_path: Optional[pathlib.Path] = None,
         io: Optional[StorageIO] = None,
         lock: Optional[_WalLock] = None,
     ) -> None:
         self._inner = inner
-        self._sharded = isinstance(inner, ShardedEngine)
         self.wal_dir = wal_path
         self.config = config
         self.shard_count = shards
@@ -607,8 +539,11 @@ class DurableEngine:
         #: lets the *next* checkpoint demote it without a disk read.
         #: None on a resumed engine (its latest link lives on disk only).
         self._last_checkpoint_payload: Optional[Dict[str, Any]] = None
-        self._cursors = cursors
-        self.recovery_info = recovery_info
+        #: ``log_marks()`` as of the last checkpoint: where the next
+        #: checkpoint's delta starts.
+        self._marks = marks
+        #: What :func:`recover` found and did (None on a fresh engine).
+        self.recovery_info: Optional[RecoveryInfo] = None
         self._closed = False
         self._poisoned = False
         self._io = io if io is not None else _DEFAULT_IO
@@ -645,7 +580,7 @@ class DurableEngine:
 
     @property
     def engine(self):
-        """The wrapped :class:`Engine` or :class:`ShardedEngine`."""
+        """The wrapped engine."""
         return self._inner
 
     @property
@@ -684,9 +619,15 @@ class DurableEngine:
                 "torn record would corrupt the log)"
             )
 
-    def _stream_for(self, step: Step) -> str:
-        if not self._sharded:
+    def _stream_for(self, step: Optional[Step]) -> str:
+        """The segment stream a record lands in (*step* None: a control
+        record).  One shard logs everything to the ``engine`` stream;
+        a sharded engine logs each step to its shard's stream and
+        controls plus router-answered steps to the ``router`` stream."""
+        if self.shard_count == 1:
             return _ENGINE_STREAM
+        if step is None:
+            return _ROUTER_STREAM
         # peek (no path compression!) so the WAL never perturbs the
         # router's forest relative to an un-instrumented run.
         shard = self._inner.router.peek_shard_of_txn(step.txn)
@@ -714,13 +655,6 @@ class DurableEngine:
             self._poisoned = True
             raise
 
-    def _log_control(self, op: str) -> None:
-        self._require_open()
-        seq = self._seq + 1
-        stream = _ROUTER_STREAM if self._sharded else _ENGINE_STREAM
-        self._append(stream, wal_record_to_line(seq, control=op))
-        self._seq = seq
-
     def _maybe_checkpoint(self) -> None:
         if (
             self.checkpoint_interval
@@ -728,86 +662,36 @@ class DurableEngine:
         ):
             self.checkpoint()
 
-    def sweep(self):
-        """Explicit policy sweep, logged so replay reproduces it."""
-        self._log_control("sweep")
-        selected = self._inner.sweep()
+    def _control(self, op: str, apply):
+        """Log control record *op*, then run *apply* (the engine's own
+        method of that name), so replay reproduces the mutation."""
+        self._require_open()
+        seq = self._seq + 1
+        line = wal_record_to_line(seq, control=op)
+        self._append(self._stream_for(None), line)
+        self._seq = seq
+        outcome = apply()
         self._maybe_checkpoint()
-        return selected
+        return outcome
+
+    def sweep(self):
+        """Explicit policy sweep, logged."""
+        return self._control("sweep", self._inner.sweep)
 
     def flush_pending(self) -> int:
-        """Materialize deferred BEGINs (sharded engines), logged."""
-        if not self._sharded:
-            raise AttributeError(
-                "flush_pending is only meaningful on sharded engines"
-            )
-        self._log_control("flush_pending")
-        flushed = self._inner.flush_pending()
-        self._maybe_checkpoint()
-        return flushed
-
-    def flush(self) -> None:
-        """The ``feed_batch(flush=True)`` epilogue, logged: pending BEGINs
-        are materialized and every shard (or the engine) with steps since
-        its last sweep is swept."""
-        self._log_control("flush")
-        _apply_flush(self._inner, self._sharded)
-        self._maybe_checkpoint()
+        """Materialize deferred BEGINs, logged; returns how many (always
+        0 on one shard, which defers none)."""
+        return self._control("flush_pending", self._inner.flush_pending)
 
     def flush_and_sweep(self) -> None:
-        """Logged alias of :meth:`ShardedEngine.flush_and_sweep`.
+        """The ``feed_batch(flush=True)`` epilogue, logged as ``flush``.
 
-        Intercepted here (instead of falling through ``__getattr__``)
-        because the un-wrapped method would mutate shard state with no
-        WAL record — a crash right after would replay to a different
-        engine.
+        Each of these mutations is intercepted here (instead of falling
+        through ``__getattr__``) because the un-wrapped method would
+        mutate engine state with no WAL record — a crash right after
+        would replay to a different engine.
         """
-        if not self._sharded:
-            raise AttributeError(
-                "flush_and_sweep is only meaningful on sharded engines"
-            )
-        self.flush()
-
-    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
-        return [self.feed(step) for step in steps]
-
-    def feed_batch(
-        self, steps: Iterable[Step], *, flush: bool = False
-    ) -> BatchResult:
-        """Feed a whole iterable through the WAL; aggregate the outcome."""
-        results: List[StepResult] = []
-        counts = {decision: 0 for decision in Decision}
-        aborted: List[Any] = []
-        committed: List[Any] = []
-        deleted_log = self._deleted_log()
-        deleted_start = len(deleted_log)
-        sweeps_start = self._inner.sweeps_run
-        for step in steps:
-            result = self.feed(step)
-            results.append(result)
-            counts[result.decision] += 1
-            aborted.extend(result.aborted)
-            committed.extend(result.committed)
-        if flush:
-            self.flush()
-        return BatchResult(
-            steps_fed=len(results),
-            accepted=counts[Decision.ACCEPTED],
-            rejected=counts[Decision.REJECTED],
-            delayed=counts[Decision.DELAYED],
-            ignored=counts[Decision.IGNORED],
-            aborted=tuple(aborted),
-            committed=tuple(committed),
-            deleted=tuple(deleted_log[deleted_start:]),
-            sweeps=self._inner.sweeps_run - sweeps_start,
-            results=tuple(results),
-        )
-
-    def _deleted_log(self) -> List[Any]:
-        """The engine's ordered deletion log (a live list)."""
-        if self._sharded:
-            return self._inner._deleted_ids
-        return self._inner.stats.deleted_ids
+        self._control("flush", self._inner.flush_and_sweep)
 
     # -- checkpoints ---------------------------------------------------------------
 
@@ -824,81 +708,14 @@ class DurableEngine:
             return None
         inner = self._inner
         core = inner.snapshot(include_logs=False)
-        if self._sharded:
-            shard_engines = inner.shards
-            delta = {
-                "results": [
-                    step_result_to_dict(r)
-                    for r in inner._results[self._cursors.results :]
-                ],
-                "deleted": list(inner._deleted_ids[self._cursors.deleted :]),
-                "shard_results": [
-                    [
-                        step_result_to_dict(r)
-                        for r in engine.scheduler._results[cursor:]
-                    ]
-                    for engine, cursor in zip(
-                        shard_engines, self._cursors.shard_results
-                    )
-                ],
-                "shard_input": [
-                    [
-                        step_to_dict(s)
-                        for s in engine.scheduler._input_log[cursor:]
-                    ]
-                    for engine, cursor in zip(
-                        shard_engines, self._cursors.shard_inputs
-                    )
-                ],
-                "shard_deleted": [
-                    list(engine.stats.deleted_ids[cursor:])
-                    for engine, cursor in zip(
-                        shard_engines, self._cursors.shard_deleted
-                    )
-                ],
-            }
-            new_cursors = _Cursors(
-                results=len(inner._results),
-                deleted=len(inner._deleted_ids),
-                shard_results=[
-                    len(e.scheduler._results) for e in shard_engines
-                ],
-                shard_inputs=[
-                    len(e.scheduler._input_log) for e in shard_engines
-                ],
-                shard_deleted=[
-                    len(e.stats.deleted_ids) for e in shard_engines
-                ],
-            )
-            for shard_core in core["shards"]:
-                _strip_engine_core(shard_core)
-        else:
-            delta = {
-                "results": [
-                    step_result_to_dict(r)
-                    for r in inner.scheduler._results[self._cursors.results :]
-                ],
-                "input": [
-                    step_to_dict(s)
-                    for s in inner.scheduler._input_log[self._cursors.inputs :]
-                ],
-                "deleted": list(
-                    inner.stats.deleted_ids[self._cursors.deleted :]
-                ),
-            }
-            new_cursors = _Cursors(
-                results=len(inner.scheduler._results),
-                inputs=len(inner.scheduler._input_log),
-                deleted=len(inner.stats.deleted_ids),
-            )
-            _strip_engine_core(core)
+        marks = inner.log_marks()
+        delta = inner.log_delta(self._marks)
         payload = {
             "format": CHECKPOINT_FORMAT,
             "kind": CHECKPOINT_KIND,
             "seq": seq,
             "prev_seq": self._last_checkpoint_seq,
             "epoch": self._wal.epoch,
-            "sharded": self._sharded,
             "core": core,
             "delta": delta,
         }
@@ -927,7 +744,7 @@ class DurableEngine:
         payload.pop("core")
         payload["core_stripped"] = True
         self._last_checkpoint_payload = payload
-        self._cursors = new_cursors
+        self._marks = marks
         self._last_checkpoint_seq = seq
         self._wal.roll(self._wal.epoch + 1)
         self._wal.truncate_before(self._wal.epoch)
@@ -1001,19 +818,15 @@ class DurableEngine:
         self.close()
 
 
-def _apply_flush(inner, sharded: bool) -> None:
-    if sharded:
-        inner.flush_and_sweep()
-    elif inner.steps_since_sweep:
-        inner.sweep()
-
-
 # ---------------------------------------------------------------------------
 # Recovery
 # ---------------------------------------------------------------------------
 
 
-def _load_manifest(wal_path: pathlib.Path) -> Dict[str, Any]:
+def _load_manifest(
+    wal_path: pathlib.Path,
+) -> Tuple[Dict[str, Any], EngineConfig]:
+    """The validated WAL manifest and the engine config it records."""
     manifest_path = wal_path / MANIFEST_NAME
     if not manifest_path.exists():
         raise RecoveryError(
@@ -1038,7 +851,11 @@ def _load_manifest(wal_path: pathlib.Path) -> Dict[str, Any]:
     for key in ("config", "shards"):
         if key not in manifest:
             raise RecoveryError(f"WAL manifest is missing the {key!r} section")
-    return manifest
+    try:
+        config = EngineConfig(**manifest["config"])
+    except (TypeError, ReproError) as exc:
+        raise RecoveryError(f"WAL manifest config is invalid: {exc}") from exc
+    return manifest, config
 
 
 def _load_checkpoint_chain(
@@ -1186,26 +1003,35 @@ def recover(
     wal_path = pathlib.Path(wal_dir)
     storage = io if io is not None else _DEFAULT_IO
     storage.check("recover.start")
-    manifest = _load_manifest(wal_path)
+    manifest, config = _load_manifest(wal_path)
     shards = int(manifest["shards"])
-    try:
-        config = EngineConfig(**manifest["config"])
-    except (TypeError, ReproError) as exc:
-        raise RecoveryError(f"WAL manifest config is invalid: {exc}") from exc
 
     lock = _WalLock.acquire(wal_path)
     try:
-        return _recover_locked(
-            wal_path, manifest, config, shards,
-            observers=observers,
+        state = _restore_from_chain(wal_path, config, shards)
+        tail = _read_tail(wal_path, state.checkpoint_seq)
+        replayed_steps, replayed_controls = _replay(state.inner, tail.records)
+        engine = _resume(
+            state.inner, state, tail, manifest, config,
             checkpoint_interval=checkpoint_interval,
             sync=sync,
             storage=storage,
             lock=lock,
         )
+        for observer in observers:
+            engine._inner.subscribe(observer)
     except BaseException:
         lock.release()
         raise
+    engine.recovery_info = RecoveryInfo(
+        checkpoint_seq=state.checkpoint_seq,
+        checkpoints_loaded=state.checkpoints_loaded,
+        replayed_steps=replayed_steps,
+        replayed_controls=replayed_controls,
+        torn_records_dropped=tail.torn,
+        repaired_segments=tuple(path.name for path, _ in tail.repairs),
+    )
+    return engine
 
 
 @dataclass
@@ -1214,16 +1040,16 @@ class _ChainState:
 
     Shared between :func:`recover` and the replication follower
     (:mod:`repro.replication`): both need the same strictly-validated
-    chain walk, delta splice, freshly-restored engine, and cursor
-    bookkeeping — recovery wraps it in a :class:`DurableEngine`, the
-    follower adopts it as its new live state.
+    chain walk and freshly-restored engine — recovery wraps it in a
+    :class:`DurableEngine`, the follower adopts it as its new live state.
     """
 
-    chain: List[Tuple[Dict[str, Any], pathlib.Path]]
+    wal_path: pathlib.Path
     checkpoint_seq: int
+    checkpoints_loaded: int
     epoch: int  # next WAL epoch hint (latest checkpoint's + 1, or 0)
     inner: Any  # restored engine (or a fresh build when no chain)
-    cursors: _Cursors
+    marks: Dict[str, Any]  # inner.log_marks() as restored
     latest_path: Optional[pathlib.Path]
 
 
@@ -1236,99 +1062,75 @@ def _restore_from_chain(
     empty chain yields a fresh engine at seq 0.
     """
     chain = _load_checkpoint_chain(wal_path / _CHECKPOINTS_DIR)
-    results_chain: List[Dict[str, Any]] = []
-    input_chain: List[Dict[str, Any]] = []
-    deleted_chain: List[Any] = []
-    shard_results_chain: List[List[Dict[str, Any]]] = [[] for _ in range(shards)]
-    shard_input_chain: List[List[Dict[str, Any]]] = [[] for _ in range(shards)]
-    shard_deleted_chain: List[List[Any]] = [[] for _ in range(shards)]
-    for checkpoint, _path in chain:
-        delta = checkpoint["delta"]
-        try:
-            results_chain.extend(delta["results"])
-            deleted_chain.extend(delta["deleted"])
-            if checkpoint.get("sharded"):
-                for index in range(shards):
-                    shard_results_chain[index].extend(
-                        delta["shard_results"][index]
-                    )
-                    shard_input_chain[index].extend(
-                        delta["shard_input"][index]
-                    )
-                    shard_deleted_chain[index].extend(
-                        delta["shard_deleted"][index]
-                    )
-            else:
-                input_chain.extend(delta["input"])
-        except (KeyError, IndexError, TypeError) as exc:
-            raise RecoveryError(
-                f"checkpoint seq {checkpoint['seq']} carries a malformed "
-                f"delta: {exc!r}"
-            ) from exc
-
-    cursors = _Cursors(
-        results=len(results_chain),
-        inputs=len(input_chain),
-        deleted=len(deleted_chain),
-        shard_results=[len(chunk) for chunk in shard_results_chain],
-        shard_inputs=[len(chunk) for chunk in shard_input_chain],
-        shard_deleted=[len(chunk) for chunk in shard_deleted_chain],
-    )
-    latest_path: Optional[pathlib.Path] = None
-    if chain:
-        latest, latest_path = chain[-1]
-        checkpoint_seq = latest["seq"]
-        epoch = int(latest.get("epoch", 0)) + 1
-        core = latest["core"]
-        try:
-            if latest.get("sharded"):
-                results_len = core.pop("results_len", None)
-                if results_len is not None and results_len != len(results_chain):
-                    raise RecoveryError(
-                        f"checkpoint core expects {results_len} global "
-                        f"results but the delta chain reconstructs "
-                        f"{len(results_chain)}"
-                    )
-                core["results"] = results_chain
-                deleted_len = core.pop("deleted_ids_len", None)
-                if deleted_len is not None and deleted_len != len(deleted_chain):
-                    raise RecoveryError(
-                        f"checkpoint core expects {deleted_len} deleted ids "
-                        f"but the delta chain reconstructs "
-                        f"{len(deleted_chain)}"
-                    )
-                core["deleted_ids"] = list(deleted_chain)
-                for index, shard_core in enumerate(core["shards"]):
-                    _splice_engine_core(
-                        shard_core,
-                        shard_results_chain[index],
-                        shard_input_chain[index],
-                        shard_deleted_chain[index],
-                    )
-            else:
-                _splice_engine_core(
-                    core, results_chain, input_chain, deleted_chain
-                )
-            inner = restore_engine(core)
-        except ReproError as exc:
-            raise RecoveryError(
-                f"checkpoint seq {checkpoint_seq} failed to restore: {exc}"
-            ) from exc
-    else:
-        checkpoint_seq = 0
-        epoch = 0
+    if not chain:
         inner = build_engine(config, shards=shards)
+        return _ChainState(
+            wal_path=wal_path,
+            checkpoint_seq=0,
+            checkpoints_loaded=0,
+            epoch=0,
+            inner=inner,
+            marks=inner.log_marks(),
+            latest_path=None,
+        )
+    latest, latest_path = chain[-1]
+    try:
+        deltas = [checkpoint["delta"] for checkpoint, _path in chain]
+        inner = restore_engine(latest["core"], deltas=deltas)
+    except ReproError as exc:
+        raise RecoveryError(
+            f"checkpoint seq {latest['seq']} failed to restore: {exc}"
+        ) from exc
     return _ChainState(
-        chain=chain,
-        checkpoint_seq=checkpoint_seq,
-        epoch=epoch,
+        wal_path=wal_path,
+        checkpoint_seq=latest["seq"],
+        checkpoints_loaded=len(chain),
+        epoch=int(latest.get("epoch", 0)) + 1,
         inner=inner,
-        cursors=cursors,
+        marks=inner.log_marks(),
         latest_path=latest_path,
     )
 
 
-def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
+@dataclass
+class _Tail:
+    """The WAL records past a checkpoint, validated for replay."""
+
+    records: List[Tuple[int, Optional[Step], Optional[str]]]
+    last_seq: int
+    torn: int
+    repairs: List[Tuple[pathlib.Path, int]]
+
+
+def _read_tail(wal_path: pathlib.Path, checkpoint_seq: int) -> _Tail:
+    """Every record past *checkpoint_seq*, checked to be replayable.
+
+    A single crash can tear at most ONE append globally (records are
+    written and flushed one at a time), so two torn tails mean the log
+    itself is damaged — and since a torn record's seq is unreadable,
+    the contiguity check could not see the loss.  The records past the
+    checkpoint must then run without a gap.
+    """
+    records, torn, repairs = _scan_segments(wal_path / _SEGMENTS_DIR)
+    if torn > 1:
+        raise WalCorruptionError(
+            f"{torn} torn segment tails found; a single crash can tear "
+            "at most one record, so this log is damaged, not crashed"
+        )
+    tail = [record for record in records if record[0] > checkpoint_seq]
+    expected = range(checkpoint_seq + 1, checkpoint_seq + 1 + len(tail))
+    actual = [record[0] for record in tail]
+    if actual != list(expected):
+        raise WalCorruptionError(
+            f"WAL tail is not contiguous after checkpoint seq "
+            f"{checkpoint_seq}: expected seqs {expected.start}.."
+            f"{expected.stop - 1}, found {actual[:20]}"
+            + ("..." if len(actual) > 20 else "")
+        )
+    return _Tail(tail, actual[-1] if actual else checkpoint_seq, torn, repairs)
+
+
+def _replay_record(inner, step, control) -> Optional[bool]:
     """Apply one WAL record to *inner* exactly as recovery does.
 
     Returns ``True`` when a step was applied, ``None`` when a step was
@@ -1345,8 +1147,8 @@ def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
         if control == "sweep":
             inner.sweep()
         elif control == "flush":
-            _apply_flush(inner, sharded)
-        elif control == "flush_pending" and sharded:
+            inner.flush_and_sweep()
+        elif control == "flush_pending":
             inner.flush_pending()
     except ReproError:
         if step is not None:
@@ -1354,99 +1156,66 @@ def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
     return False
 
 
-def _recover_locked(
-    wal_path: pathlib.Path,
+def _replay(inner, records) -> Tuple[int, int]:
+    """Replay *records* into *inner* in order; (steps applied, controls)."""
+    steps = controls = 0
+    for _seq, step, control in records:
+        outcome = _replay_record(inner, step, control)
+        if outcome is True:
+            steps += 1
+        elif outcome is False:
+            controls += 1
+    return steps, controls
+
+
+def _resume(
+    inner,
+    state: _ChainState,
+    tail: _Tail,
     manifest: Dict[str, Any],
     config: EngineConfig,
-    shards: int,
     *,
-    observers: Iterable[EngineObserver],
     checkpoint_interval: Optional[int],
     sync: Optional[str],
     storage: StorageIO,
     lock: _WalLock,
 ) -> DurableEngine:
-    state = _restore_from_chain(wal_path, config, shards)
-    checkpoint_seq = state.checkpoint_seq
-    epoch = state.epoch
-    inner = state.inner
-    cursors = state.cursors
-    chain = state.chain
-    latest_path = state.latest_path
+    """Reopen the sealed log for writing with *inner* at ``tail.last_seq``.
 
-    records, torn, repairs = _scan_segments(wal_path / _SEGMENTS_DIR)
-    if torn > 1:
-        # A single crash can tear at most ONE append globally (records
-        # are written and flushed one at a time).  Two torn tails mean
-        # the log itself is damaged — and since a torn record's seq is
-        # unreadable, the contiguity check below could not see the loss.
-        raise WalCorruptionError(
-            f"{torn} torn segment tails found; a single crash can tear "
-            "at most one record, so this log is damaged, not crashed"
-        )
-    tail = [record for record in records if record[0] > checkpoint_seq]
-    expected = range(checkpoint_seq + 1, checkpoint_seq + 1 + len(tail))
-    actual = [record[0] for record in tail]
-    if actual != list(expected):
-        raise WalCorruptionError(
-            f"WAL tail is not contiguous after checkpoint seq "
-            f"{checkpoint_seq}: expected seqs {expected.start}.."
-            f"{expected.stop - 1}, found {actual[:20]}"
-            + ("..." if len(actual) > 20 else "")
-        )
-    sharded = isinstance(inner, ShardedEngine)
-    replayed_steps = replayed_controls = 0
-    for _seq, step, control in tail:
-        outcome = _replay_record(inner, sharded, step, control)
-        if outcome is True:
-            replayed_steps += 1
-        elif outcome is False:
-            replayed_controls += 1
-
-    # Validation passed: repair the torn tails in place so a future
-    # recovery of the same directory sees only complete records.
-    repaired: List[str] = []
-    for path, offset in repairs:
+    The validation passed, so the torn tails are repaired in place (a
+    later recovery of the same directory sees only complete records) and
+    logging resumes in an epoch past every segment on disk.  Shared by
+    :func:`recover` and :meth:`repro.replication.WalFollower.promote`.
+    """
+    wal_path = state.wal_path
+    for path, offset in tail.repairs:
         storage.truncate(path, offset)
-        repaired.append(path.name)
-
-    max_seq = tail[-1][0] if tail else checkpoint_seq
+    epoch = state.epoch
     for path in (wal_path / _SEGMENTS_DIR).iterdir():
         parsed = _parse_segment_name(path.name)
         if parsed is not None and parsed[0] >= epoch:
             epoch = parsed[0] + 1
-
     engine = DurableEngine.__new__(DurableEngine)
     engine._init_common(
         inner,
         wal_path,
         config=config,
-        shards=shards,
+        shards=int(manifest["shards"]),
         checkpoint_interval=(
             checkpoint_interval
             if checkpoint_interval is not None
             else int(manifest.get("checkpoint_interval", 64))
         ),
         sync=sync if sync is not None else str(manifest.get("sync", "checkpoint")),
-        seq=max_seq,
+        seq=tail.last_seq,
         epoch=epoch,
-        last_checkpoint_seq=checkpoint_seq,
-        cursors=cursors,
-        recovery_info=RecoveryInfo(
-            checkpoint_seq=checkpoint_seq,
-            checkpoints_loaded=len(chain),
-            replayed_steps=replayed_steps,
-            replayed_controls=replayed_controls,
-            torn_records_dropped=torn,
-            repaired_segments=tuple(repaired),
-        ),
+        last_checkpoint_seq=state.checkpoint_seq,
+        marks=state.marks,
         write_manifest=False,
-        last_checkpoint_path=latest_path,
+        last_checkpoint_path=state.latest_path,
         io=storage,
         lock=lock,
     )
-    for observer in observers:
-        engine._inner.subscribe(observer)
     return engine
 
 

@@ -5,8 +5,7 @@
 transaction step arrives, the function F is applied to the current graph
 giving a new graph G; then the set of nodes P(G) is removed."*  Everything
 in this repository that drives that loop — the CLI, the experiment runner,
-the (now deprecated) :class:`~repro.manager.GarbageCollectedScheduler` —
-goes through :class:`Engine`:
+the serving and durability layers — goes through :class:`Engine`:
 
 * **Registries** — schedulers and policies are named strings resolved via
   :mod:`repro.registry`, with model-compatibility validated when the
@@ -124,15 +123,19 @@ class GcStats:
     peak_retained_completed: int = 0
     deleted_ids: List[TxnId] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
+    def as_dict(self, *, include_log: bool = True) -> Dict[str, object]:
+        """JSON-ready counters; ``include_log=False`` leaves out the
+        history-sized ``deleted_ids`` log."""
+        payload: Dict[str, object] = {
             "steps_fed": self.steps_fed,
             "deletions": self.deletions,
             "policy_invocations": self.policy_invocations,
             "peak_graph_size": self.peak_graph_size,
             "peak_retained_completed": self.peak_retained_completed,
-            "deleted_ids": list(self.deleted_ids),
         }
+        if include_log:
+            payload["deleted_ids"] = list(self.deleted_ids)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "GcStats":
@@ -275,9 +278,7 @@ class CallbackObserver(EngineObserver):
 class StatsObserver(EngineObserver):
     """Maintains :class:`GcStats` from engine events.
 
-    This is the observer-based port of the counters the old
-    ``GarbageCollectedScheduler`` kept as hard-coded fields; every engine
-    carries one so ``engine.stats`` is always available.
+    Every engine carries one, so ``engine.stats`` is always available.
     """
 
     def __init__(self, stats: Optional[GcStats] = None) -> None:
@@ -296,9 +297,8 @@ class StatsObserver(EngineObserver):
         self.stats.deleted_ids.extend(deleted)
 
     def on_step_end(self, engine: "Engine", result: StepResult) -> None:
-        # Peaks are measured after the (step, deletion) pair completes,
-        # matching the legacy GarbageCollectedScheduler semantics.  The
-        # completed count comes from the maintained state mask (one
+        # Peaks are measured after the (step, deletion) pair completes.
+        # The completed count comes from the maintained state mask (one
         # bit_count), not a per-step frozenset materialization.
         graph = engine.graph
         if len(graph) > self.stats.peak_graph_size:
@@ -340,6 +340,69 @@ class BatchResult:
             "deleted_txns": len(self.deleted),
             "sweeps": self.sweeps,
         }
+
+
+class BatchFeeder:
+    """``feed_many`` / ``feed_batch`` for every engine class.
+
+    Written once against the narrow engine protocol — ``feed``,
+    ``deletion_log`` (the ordered deletion log, a live list),
+    ``sweeps_run`` and ``flush_and_sweep`` — so :class:`Engine`,
+    :class:`ShardedEngine` and the durable wrapper share one batch
+    aggregation.
+    """
+
+    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
+        """Feed steps lazily; returns the per-step results."""
+        return [self.feed(step) for step in steps]
+
+    def feed_batch(
+        self, steps: Iterable[Step], *, flush: bool = False
+    ) -> BatchResult:
+        """Feed a whole iterable lazily and aggregate the outcome.
+
+        Steps are pulled from *steps* one at a time (generators welcome;
+        nothing is materialized up front).  With ``flush=True`` the batch
+        ends with :meth:`flush_and_sweep`: deferred BEGINs are
+        materialized and every shard with steps since its last sweep is
+        swept, so the batch ends with the policy's verdict applied.
+        """
+        results: List[StepResult] = []
+        counts = {decision: 0 for decision in Decision}
+        aborted: List[TxnId] = []
+        committed: List[TxnId] = []
+        deletion_log = self.deletion_log
+        deleted_start = len(deletion_log)
+        sweeps_start = self.sweeps_run
+        for step in steps:
+            result = self.feed(step)
+            results.append(result)
+            counts[result.decision] += 1
+            aborted.extend(result.aborted)
+            committed.extend(result.committed)
+        if flush:
+            self.flush_and_sweep()
+        return BatchResult(
+            steps_fed=len(results),
+            accepted=counts[Decision.ACCEPTED],
+            rejected=counts[Decision.REJECTED],
+            delayed=counts[Decision.DELAYED],
+            ignored=counts[Decision.IGNORED],
+            aborted=tuple(aborted),
+            committed=tuple(committed),
+            deleted=tuple(deletion_log[deleted_start:]),
+            sweeps=self.sweeps_run - sweeps_start,
+            results=tuple(results),
+        )
+
+
+def _check_spliced(expected: Any, spliced: List[Any], what: str) -> None:
+    """A core's recorded log length must match its spliced delta chain."""
+    if expected is not None and expected != len(spliced):
+        raise SnapshotError(
+            f"checkpoint core expects {expected} {what} but the delta "
+            f"chain reconstructs {len(spliced)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +476,7 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 
 
-class Engine:
+class Engine(BatchFeeder):
     """§4's combined scheduling algorithm behind one stable API.
 
     Construct from registry names (directly or via an
@@ -534,8 +597,8 @@ class Engine:
     def _bind_policy(self) -> None:
         """(Re)derive gating state from the current policy.
 
-        Policies can be swapped mid-run (the legacy façade exposes a
-        setter), so binding is re-checked by identity on every feed/sweep;
+        ``policy`` is a plain attribute a caller may swap mid-run, so
+        binding is re-checked by identity on every feed/sweep;
         a swap resets the gate and dirty tracker to their conservative
         states.
         """
@@ -640,47 +703,6 @@ class Engine:
             return not self._gate_open
         return False
 
-    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
-        """Feed steps lazily; returns the per-step results."""
-        return [self.feed(step) for step in steps]
-
-    def feed_batch(
-        self, steps: Iterable[Step], *, flush: bool = False
-    ) -> BatchResult:
-        """Feed a whole iterable lazily and aggregate the outcome.
-
-        Steps are pulled from *steps* one at a time (generators welcome;
-        nothing is materialized up front).  With ``flush=True`` a final
-        sweep runs after the last step even if the cadence is not due, so
-        the batch ends with the policy's verdict applied.
-        """
-        results: List[StepResult] = []
-        counts = {decision: 0 for decision in Decision}
-        aborted: List[TxnId] = []
-        committed: List[TxnId] = []
-        deleted_start = len(self.stats.deleted_ids)
-        sweeps_start = self._sweeps_run
-        for step in steps:
-            result = self.feed(step)
-            results.append(result)
-            counts[result.decision] += 1
-            aborted.extend(result.aborted)
-            committed.extend(result.committed)
-        if flush and self._steps_since_sweep:
-            self.sweep()
-        return BatchResult(
-            steps_fed=len(results),
-            accepted=counts[Decision.ACCEPTED],
-            rejected=counts[Decision.REJECTED],
-            delayed=counts[Decision.DELAYED],
-            ignored=counts[Decision.IGNORED],
-            aborted=tuple(aborted),
-            committed=tuple(committed),
-            deleted=tuple(self.stats.deleted_ids[deleted_start:]),
-            sweeps=self._sweeps_run - sweeps_start,
-            results=tuple(results),
-        )
-
     def sweep(self) -> FrozenSet[TxnId]:
         """Invoke the policy now and delete its selection; returns it.
 
@@ -715,6 +737,16 @@ class Engine:
         self._emit("on_sweep", SweepReport(self._sweeps_run, self._step_index, ordered))
         return frozenset(selected)
 
+    def flush_pending(self) -> int:
+        """One shard never defers a BEGIN: nothing to flush (returns 0)."""
+        return 0
+
+    def flush_and_sweep(self) -> None:
+        """The ``feed_batch(flush=True)`` epilogue: sweep if steps are
+        pending since the last sweep."""
+        if self._steps_since_sweep:
+            self.sweep()
+
     def note_migration_in(self, txns: Iterable[TxnId]) -> None:
         """A shard migration moved *txns* into this engine's scheduler.
 
@@ -735,6 +767,11 @@ class Engine:
     @property
     def stats(self) -> GcStats:
         return self._stats_observer.stats
+
+    @property
+    def deletion_log(self) -> List[TxnId]:
+        """Every deleted id in deletion order (a live list)."""
+        return self.stats.deleted_ids
 
     @property
     def graph(self):
@@ -821,10 +858,11 @@ class Engine:
         via :meth:`from_parts` with unregistered components cannot promise
         a faithful rebuild and raise :class:`EngineError`).
 
-        ``include_logs=False`` omits the history-sized log sections (see
-        :meth:`SchedulerBase.snapshot_state`); such a payload is **not**
-        restorable on its own — the durability layer persists the log
-        tails as checkpoint deltas and splices them back before restore.
+        ``include_logs=False`` omits every history-sized section — the
+        scheduler's result and input logs, the graph's tombstone list and
+        the stats' deletion log (see :meth:`log_delta`).  Such a *core* is
+        **not** restorable on its own: :meth:`splice_logs` puts a chain
+        of log deltas back in first.
         """
         if self.config is None:
             raise EngineError(
@@ -846,11 +884,69 @@ class Engine:
                     else self._dirty_tracker.state_dict()
                 ),
             },
-            "stats": self.stats.as_dict(),
+            "stats": self.stats.as_dict(include_log=include_logs),
             "scheduler_state": self.scheduler.snapshot_state(
                 include_logs=include_logs
             ),
         }
+
+    def log_marks(self) -> Dict[str, Any]:
+        """Current length of each history-sized log.
+
+        The input log is marked separately from the result log: a step
+        whose processing *raised* is recorded in the scheduler's input
+        log but produces no result.
+        """
+        scheduler = self.scheduler
+        return {
+            "results": len(scheduler._results),
+            "input": len(scheduler._input_log),
+            "deleted": len(self.stats.deleted_ids),
+        }
+
+    def log_delta(self, marks: Dict[str, Any]) -> Dict[str, Any]:
+        """JSON-ready log entries appended since *marks* (a
+        :meth:`log_marks` result) — one checkpoint's delta."""
+        from repro.io import step_result_to_dict, step_to_dict
+
+        scheduler = self.scheduler
+        return {
+            "results": [
+                step_result_to_dict(r)
+                for r in scheduler._results[marks["results"] :]
+            ],
+            "input": [
+                step_to_dict(s) for s in scheduler._input_log[marks["input"] :]
+            ],
+            "deleted": list(self.stats.deleted_ids[marks["deleted"] :]),
+        }
+
+    @staticmethod
+    def splice_logs(
+        core: Dict[str, Any], deltas: Iterable[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """Splice a chain of :meth:`log_delta` payloads (oldest first)
+        into a ``snapshot(include_logs=False)`` *core*, in place, making
+        it a full snapshot :meth:`restore` accepts; returns it."""
+        results: List[Any] = []
+        inputs: List[Any] = []
+        deleted: List[Any] = []
+        for delta in deltas:
+            results.extend(delta["results"])
+            inputs.extend(delta["input"])
+            deleted.extend(delta["deleted"])
+        state = core["scheduler_state"]
+        _check_spliced(
+            state.pop("log_len", None), results, "scheduler log entries"
+        )
+        _check_spliced(
+            state.pop("input_len", None), inputs, "input-log entries"
+        )
+        state["results"] = results
+        state["input_log"] = inputs
+        state["graph"]["deleted"] = sorted(deleted)
+        core["stats"]["deleted_ids"] = deleted
+        return core
 
     @classmethod
     def restore(
@@ -905,7 +1001,7 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
-class ShardedEngine:
+class ShardedEngine(BatchFeeder):
     """K independent §4 loops behind one feed API, partitioned by footprint.
 
     Every model's arc/lock/certification rules only ever relate
@@ -1160,44 +1256,6 @@ class ShardedEngine:
             flushed += 1
         return flushed
 
-    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
-        return [self.feed(step) for step in steps]
-
-    def feed_batch(
-        self, steps: Iterable[Step], *, flush: bool = False
-    ) -> BatchResult:
-        """Feed a whole iterable lazily; aggregate across shards.
-
-        ``flush=True`` additionally materializes pending BEGINs and runs a
-        final sweep on every shard with steps since its last sweep.
-        """
-        results: List[StepResult] = []
-        counts = {decision: 0 for decision in Decision}
-        aborted: List[TxnId] = []
-        committed: List[TxnId] = []
-        deleted_start = len(self._deleted_ids)
-        sweeps_start = sum(engine.sweeps_run for engine in self._engines)
-        for step in steps:
-            result = self.feed(step)
-            results.append(result)
-            counts[result.decision] += 1
-            aborted.extend(result.aborted)
-            committed.extend(result.committed)
-        if flush:
-            self.flush_and_sweep()
-        return BatchResult(
-            steps_fed=len(results),
-            accepted=counts[Decision.ACCEPTED],
-            rejected=counts[Decision.REJECTED],
-            delayed=counts[Decision.DELAYED],
-            ignored=counts[Decision.IGNORED],
-            aborted=tuple(aborted),
-            committed=tuple(committed),
-            deleted=tuple(self._deleted_ids[deleted_start:]),
-            sweeps=sum(e.sweeps_run for e in self._engines) - sweeps_start,
-            results=tuple(results),
-        )
-
     def flush_and_sweep(self) -> None:
         """Materialize pending BEGINs, then sweep every shard that has
         fed steps since its last sweep (the ``feed_batch(flush=True)``
@@ -1225,6 +1283,11 @@ class ShardedEngine:
     @property
     def router(self) -> FootprintRouter:
         return self._router
+
+    @property
+    def deletion_log(self) -> List[TxnId]:
+        """Every deleted id in global deletion order (a live list)."""
+        return self._deleted_ids
 
     @property
     def stats(self) -> GcStats:
@@ -1396,10 +1459,10 @@ class ShardedEngine:
         as any scheduler does), and the merged counters.  Restore followed
         by re-snapshot yields an identical payload.
 
-        ``include_logs=False`` omits the global result log and the
-        per-shard scheduler logs (replaced by length markers) — the
-        durability layer's incremental-checkpoint core; not restorable
-        until the logs are spliced back in.
+        ``include_logs=False`` omits the global result and deletion logs
+        (replaced by length markers) and every shard's history-sized
+        sections — a checkpoint core, not restorable until
+        :meth:`splice_logs` puts the log deltas back in.
         """
         from repro.io import step_result_to_dict, step_to_dict
 
@@ -1436,6 +1499,59 @@ class ShardedEngine:
             payload["deleted_ids_len"] = len(self._deleted_ids)
             payload["results_len"] = len(self._results)
         return payload
+
+    def log_marks(self) -> Dict[str, Any]:
+        """Global log lengths plus every shard's :meth:`Engine.log_marks`."""
+        return {
+            "results": len(self._results),
+            "deleted": len(self._deleted_ids),
+            "shards": [engine.log_marks() for engine in self._engines],
+        }
+
+    def log_delta(self, marks: Dict[str, Any]) -> Dict[str, Any]:
+        """The global log entries since *marks*, with one nested
+        :meth:`Engine.log_delta` per shard."""
+        from repro.io import step_result_to_dict
+
+        return {
+            "results": [
+                step_result_to_dict(r)
+                for r in self._results[marks["results"] :]
+            ],
+            "deleted": list(self._deleted_ids[marks["deleted"] :]),
+            "shards": [
+                engine.log_delta(shard_marks)
+                for engine, shard_marks in zip(self._engines, marks["shards"])
+            ],
+        }
+
+    @staticmethod
+    def splice_logs(
+        core: Dict[str, Any], deltas: Iterable[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """Inverse of ``snapshot(include_logs=False)`` plus a chain of
+        :meth:`log_delta` payloads; see :meth:`Engine.splice_logs`."""
+        results: List[Any] = []
+        deleted: List[Any] = []
+        shard_chains: List[List[Dict[str, Any]]] = [[] for _ in core["shards"]]
+        for delta in deltas:
+            results.extend(delta["results"])
+            deleted.extend(delta["deleted"])
+            for chain, shard_delta in zip(
+                shard_chains, delta["shards"], strict=True
+            ):
+                chain.append(shard_delta)
+        _check_spliced(
+            core.pop("results_len", None), results, "global results"
+        )
+        _check_spliced(
+            core.pop("deleted_ids_len", None), deleted, "deleted ids"
+        )
+        core["results"] = results
+        core["deleted_ids"] = deleted
+        for shard_core, chain in zip(core["shards"], shard_chains):
+            Engine.splice_logs(shard_core, chain)
+        return core
 
     @classmethod
     def restore(

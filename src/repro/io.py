@@ -24,7 +24,7 @@ import tempfile
 from typing import Any, Dict, List, Optional
 
 from repro.core.reduced_graph import ReducedGraph, TxnInfo
-from repro.errors import ModelError
+from repro.errors import ModelError, SnapshotError
 from repro.graphs.bitclosure import BitClosureGraph
 from repro.model.schedule import Schedule
 from repro.model.status import AccessMode, TxnState
@@ -555,20 +555,28 @@ def engine_snapshot_from_json(text: str) -> Dict[str, Any]:
     return payload
 
 
-def restore_engine(payload: Dict[str, Any]):
+def restore_engine(payload: Dict[str, Any], deltas=None):
     """Rebuild a live engine from any snapshot payload.
 
     Dispatches on the payload's format stamp: sharded-engine snapshots
     (``kind == "sharded-engine"``) rebuild a
     :class:`~repro.engine.ShardedEngine`, anything else goes through
     :class:`~repro.engine.Engine.restore` (which validates its own format
-    version).
+    version).  With *deltas* — a chain of ``log_delta`` payloads, oldest
+    first — *payload* is a ``snapshot(include_logs=False)`` core and the
+    logs are spliced back in (``splice_logs``) before the restore.
     """
     from repro.engine import SHARDED_SNAPSHOT_KIND, Engine, ShardedEngine
 
+    cls = Engine
     if isinstance(payload, dict) and payload.get("kind") == SHARDED_SNAPSHOT_KIND:
-        return ShardedEngine.restore(payload)
-    return Engine.restore(payload)
+        cls = ShardedEngine
+    if deltas is not None:
+        try:
+            cls.splice_logs(payload, deltas)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"malformed log delta: {exc!r}") from exc
+    return cls.restore(payload)
 
 
 def currency_to_dict(tracker) -> Dict[str, Any]:

@@ -31,10 +31,14 @@ tail past it — rather than stalling on the vanished prefix.
 Failover is :meth:`WalFollower.promote`: seal the tail (take the writer
 lock — a still-live primary makes this raise
 :class:`~repro.errors.WalLockedError`, the zero-acknowledged-write-loss
-guard), catch up to the sealed log, optionally verify the warm engine
-byte-for-byte against an independent restore, repair any torn tail, and
-hand back a writable :class:`~repro.durability.DurableEngine` wrapping
-the already-warm follower engine — no cold restart.  Promotions are
+guard), validate the sealed tail with recovery's own
+:func:`~repro.durability._read_tail`, catch up to it, optionally verify
+the warm engine byte-for-byte against an independent restore, and hand
+the already-warm follower engine to recovery's
+:func:`~repro.durability._resume` (torn-tail repair, next epoch, a
+writable :class:`~repro.durability.DurableEngine`) — no cold restart.
+None of this asks whether the engine is sharded: every engine answers
+the same feed/sweep/flush protocol.  Promotions are
 recorded in a ``PROMOTIONS.json`` audit marker beside the manifest (not
 in the WAL: a promotion consumes no sequence number, so client-side
 ``wal_seq`` watermarks stay valid across failover).
@@ -57,17 +61,18 @@ from repro.durability import (
     _load_manifest,
     _parse_checkpoint_name,
     _parse_segment_name,
+    _read_tail,
+    _replay,
     _replay_record,
     _restore_from_chain,
-    _scan_segments,
+    _resume,
 )
-from repro.engine import EngineConfig, EngineObserver, ShardedEngine
+from repro.engine import EngineObserver
 from repro.errors import (
     DurabilityError,
     ModelError,
     PromotionError,
     RecoveryError,
-    ReproError,
     WalCorruptionError,
 )
 from repro.faults import StorageIO
@@ -149,14 +154,8 @@ class WalFollower:
     def __init__(self, wal_dir, *, io: Optional[StorageIO] = None) -> None:
         self._wal_path = pathlib.Path(wal_dir)
         self._io = io if io is not None else _DEFAULT_IO
-        self._manifest = _load_manifest(self._wal_path)
+        self._manifest, self._config = _load_manifest(self._wal_path)
         self._shards = int(self._manifest["shards"])
-        try:
-            self._config = EngineConfig(**self._manifest["config"])
-        except (TypeError, ReproError) as exc:
-            raise RecoveryError(
-                f"WAL manifest config is invalid: {exc}"
-            ) from exc
         #: byte offset of the first unconsumed byte, per segment name
         self._offsets: Dict[str, int] = {}
         #: parsed-but-not-yet-contiguous records, keyed by seq
@@ -170,7 +169,6 @@ class WalFollower:
         self.records_applied = 0
         self.checkpoints_adopted = 0
         self._engine: Any = None
-        self._sharded = False
         self._adopt_chain()
         self._visible_seq = self._applied_seq
 
@@ -339,7 +337,7 @@ class WalFollower:
             if record is None:
                 break
             step, control = record
-            _replay_record(self._engine, self._sharded, step, control)
+            _replay_record(self._engine, step, control)
             self._applied_seq += 1
             applied += 1
         self.records_applied += applied
@@ -398,7 +396,6 @@ class WalFollower:
                 last_head = head
                 continue
             self._engine = state.inner
-            self._sharded = isinstance(state.inner, ShardedEngine)
             self._applied_seq = state.checkpoint_seq
             if self._visible_seq < self._applied_seq:
                 self._visible_seq = self._applied_seq
@@ -509,54 +506,28 @@ class WalFollower:
             state = _restore_from_chain(
                 self._wal_path, self._config, self._shards
             )
-            records, torn, repairs = _scan_segments(
-                self._wal_path / _SEGMENTS_DIR
-            )
-            if torn > 1:
-                raise WalCorruptionError(
-                    f"{torn} torn segment tails found; a single crash can "
-                    "tear at most one record, so this log is damaged, not "
-                    "crashed"
-                )
-            tail = [r for r in records if r[0] > state.checkpoint_seq]
-            expected = range(
-                state.checkpoint_seq + 1, state.checkpoint_seq + 1 + len(tail)
-            )
-            actual = [r[0] for r in tail]
-            if actual != list(expected):
-                raise WalCorruptionError(
-                    f"WAL tail is not contiguous after checkpoint seq "
-                    f"{state.checkpoint_seq}: expected seqs "
-                    f"{expected.start}..{expected.stop - 1}, found "
-                    f"{actual[:20]}" + ("..." if len(actual) > 20 else "")
-                )
-            sealed_seq = actual[-1] if actual else state.checkpoint_seq
+            tail = _read_tail(self._wal_path, state.checkpoint_seq)
+            sealed_seq = tail.last_seq
             warm = self._applied_seq >= state.checkpoint_seq
             if warm:
                 # Catch the warm engine up to the sealed log.
                 inner = self._engine
-                for seq, step, control in tail:
-                    if seq <= self._applied_seq:
-                        continue
-                    _replay_record(inner, self._sharded, step, control)
-                    self._applied_seq = seq
+                _replay(
+                    inner,
+                    [r for r in tail.records if r[0] > self._applied_seq],
+                )
             else:
                 # The primary checkpointed past us and the prefix is
                 # gone: the chain restore *is* the freshest state.
                 inner = state.inner
-                for seq, step, control in tail:
-                    _replay_record(
-                        inner, isinstance(inner, ShardedEngine), step, control
-                    )
-                self._applied_seq = sealed_seq
+                _replay(inner, tail.records)
+            self._applied_seq = sealed_seq
             if verify and warm:
                 # state.inner is an independent restore of the same
                 # chain; replaying the sealed tail into it yields the
                 # oracle the warm engine must match byte-for-byte.
                 oracle = state.inner
-                oracle_sharded = isinstance(oracle, ShardedEngine)
-                for _seq, step, control in tail:
-                    _replay_record(oracle, oracle_sharded, step, control)
+                _replay(oracle, tail.records)
                 if engine_snapshot_to_json(
                     oracle.snapshot()
                 ) != engine_snapshot_to_json(inner.snapshot()):
@@ -565,43 +536,17 @@ class WalFollower:
                         "with an independent restore of the same log; "
                         "refusing to promote a divergent replica"
                     )
-            for path, offset in repairs:
-                self._io.truncate(path, offset)
-            epoch = state.epoch
-            for path in self._segment_paths():
-                parsed = _parse_segment_name(path.name)
-                if parsed is not None and parsed[0] >= epoch:
-                    epoch = parsed[0] + 1
+            engine = _resume(
+                inner, state, tail, self._manifest, self._config,
+                checkpoint_interval=checkpoint_interval,
+                sync=sync,
+                storage=self._io,
+                lock=lock,
+            )
             self._record_promotion(
                 seq=sealed_seq,
                 checkpoint_seq=state.checkpoint_seq,
-                epoch=epoch,
-            )
-            engine = DurableEngine.__new__(DurableEngine)
-            engine._init_common(
-                inner,
-                self._wal_path,
-                config=self._config,
-                shards=self._shards,
-                checkpoint_interval=(
-                    checkpoint_interval
-                    if checkpoint_interval is not None
-                    else int(self._manifest.get("checkpoint_interval", 64))
-                ),
-                sync=(
-                    sync
-                    if sync is not None
-                    else str(self._manifest.get("sync", "checkpoint"))
-                ),
-                seq=sealed_seq,
-                epoch=epoch,
-                last_checkpoint_seq=state.checkpoint_seq,
-                cursors=state.cursors,
-                recovery_info=None,
-                write_manifest=False,
-                last_checkpoint_path=state.latest_path,
-                io=self._io,
-                lock=lock,
+                epoch=engine._wal.epoch,
             )
         except BaseException:
             lock.release()

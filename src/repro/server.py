@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import registry as _registry
-from repro.durability import DurableEngine, open_durable, recover
+from repro.durability import open_durable, recover
 from repro.engine import build_engine
 from repro.errors import (
     DurabilityError,
@@ -225,7 +225,9 @@ class _Tenant:
 
     @property
     def durable(self) -> bool:
-        return isinstance(self.engine, DurableEngine)
+        """A writable tenant over a WAL (a replica reads one, never
+        writes it, until promoted)."""
+        return self.follower is None and self.wal_dir is not None
 
     def retry_after(self) -> float:
         """Estimated seconds until the current backlog drains."""
@@ -723,8 +725,7 @@ class ReproServer:
                 if item.kind == "sweep":
                     outcome: Any = sorted(tenant.engine.sweep())
                 elif item.kind == "flush_pending":
-                    flush = getattr(tenant.engine, "flush_pending", None)
-                    outcome = 0 if flush is None else flush()
+                    outcome = tenant.engine.flush_pending()
                 else:
                     outcome = await self._feed_steps(tenant, item.steps)
             except asyncio.CancelledError:

@@ -309,7 +309,9 @@ class TestDurableEngine:
         latest = payloads[-1]
         core_state = latest["core"]["scheduler_state"]
         assert "results" not in core_state  # logs live in deltas
+        assert "input_log" not in core_state
         assert "deleted" not in core_state["graph"]
+        assert "deleted_ids" not in latest["core"]["stats"]
         total = sum(len(p["delta"]["results"]) for p in payloads)
         assert total == latest["seq"]
 
@@ -448,6 +450,38 @@ class TestRecoveryFailures:
         recovered = recover(tmp_path / "wal")
         assert recovered.stats.deletions == deletions
         assert recovered.recovery_info.replayed_controls == 1
+
+    def test_one_shard_flush_pending_is_logged_and_replays(self, tmp_path):
+        """One shard defers no BEGIN, so ``flush_pending`` flushes 0 —
+        and is still a logged control record that recovery replays."""
+        durable = _durable(tmp_path, checkpoint_interval=0)
+        durable.feed_many(_stream()[:12])
+        assert durable.flush_pending() == 0
+        assert durable.seq == 13
+        durable.simulate_crash()
+        recovered = recover(tmp_path / "wal")
+        assert recovered.recovery_info.replayed_steps == 12
+        assert recovered.recovery_info.replayed_controls == 1
+        assert recovered.seq == 13
+        recovered.close()
+
+    def test_one_shard_flush_and_sweep_is_logged(self, tmp_path):
+        """The ``feed_batch(flush=True)`` epilogue is the same logged
+        control on one shard as on many."""
+        durable = DurableEngine(
+            scheduler="conflict-graph", policy="eager-c1",
+            wal_dir=tmp_path / "wal", checkpoint_interval=0,
+            sweep_interval=1000,
+        )
+        batch = durable.feed_batch(_stream()[:25], flush=True)
+        assert batch.sweeps == 1
+        deletions = durable.stats.deletions
+        assert deletions > 0 and len(batch.deleted) == deletions
+        durable.simulate_crash()
+        recovered = recover(tmp_path / "wal")
+        assert recovered.stats.deletions == deletions
+        assert recovered.recovery_info.replayed_controls == 1
+        recovered.close()
 
     def test_mid_segment_corruption_aborts(self, tmp_path):
         durable = _durable(tmp_path, checkpoint_interval=0)

@@ -149,3 +149,57 @@ class TestSnapshotErrors:
         snapshot["config"]["scheduler"] = "conflict-graph"
         with pytest.raises(SnapshotError):
             Engine.restore(snapshot)
+
+
+class TestLogProtocol:
+    """``snapshot(include_logs=False)`` + ``log_marks``/``log_delta`` +
+    ``splice_logs``: a core plus its chain of deltas restores to exactly
+    the full snapshot, for one engine and for a sharded one alike."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("scheduler,policy,stream_factory", CASES)
+    def test_core_plus_delta_chain_restores_the_full_snapshot(
+        self, scheduler, policy, stream_factory, shards
+    ):
+        from repro.engine import build_engine
+        from repro.io import engine_snapshot_to_json, restore_engine
+
+        engine = build_engine(
+            scheduler=scheduler, policy=policy, shards=shards
+        )
+        stream = list(stream_factory(CONFIG))
+        marks = engine.log_marks()
+        deltas = []
+        for cut in (len(stream) // 3, 2 * len(stream) // 3, len(stream)):
+            engine.feed_many(stream[engine.step_index : cut])
+            deltas.append(engine.log_delta(marks))
+            marks = engine.log_marks()
+        core = json.loads(json.dumps(engine.snapshot(include_logs=False)))
+        restored = restore_engine(core, deltas=json.loads(json.dumps(deltas)))
+        assert engine_snapshot_to_json(restored.snapshot()) == (
+            engine_snapshot_to_json(engine.snapshot())
+        )
+        assert restored.log_marks() == engine.log_marks()
+        assert engine.log_delta(marks) == restored.log_delta(marks)
+
+    def test_short_delta_chain_is_rejected(self):
+        from repro.io import restore_engine
+
+        engine = Engine(scheduler="conflict-graph", policy="eager-c1")
+        stream = list(basic_stream(CONFIG))
+        start = engine.log_marks()
+        engine.feed_many(stream[:10])
+        first = engine.log_delta(start)
+        engine.feed_many(stream[10:])
+        core = engine.snapshot(include_logs=False)
+        with pytest.raises(SnapshotError, match="delta chain reconstructs"):
+            restore_engine(core, deltas=[first])
+
+    def test_malformed_delta_is_a_snapshot_error(self):
+        from repro.io import restore_engine
+
+        engine = Engine(scheduler="conflict-graph", policy="eager-c1")
+        engine.feed_many(basic_stream(CONFIG))
+        core = engine.snapshot(include_logs=False)
+        with pytest.raises(SnapshotError, match="malformed log delta"):
+            restore_engine(core, deltas=[{"results": []}])

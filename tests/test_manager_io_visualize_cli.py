@@ -1,4 +1,5 @@
-"""Tests for the adoption layer: GC facade, serialization, rendering, CLI."""
+"""Tests for the adoption layer: the §4 loop over adopted parts,
+serialization, rendering, CLI."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from repro.analysis.visualize import render_ascii, render_dot
 from repro.cli import main as cli_main
 from repro.core.policies import EagerC1Policy, NeverDeletePolicy
+from repro.engine import Engine
 from repro.errors import ModelError, UnsafeDeletionError
 from repro.io import (
     graph_from_dict,
@@ -19,7 +21,6 @@ from repro.io import (
     schedule_from_list,
     schedule_to_list,
 )
-from repro.manager import GarbageCollectedScheduler
 from repro.model.schedule import Schedule
 from repro.model.status import AccessMode
 from repro.model.steps import BeginDeclared, Read
@@ -30,22 +31,29 @@ from repro.workloads.traces import example1_graph, example1_schedule
 from tests.conftest import basic_step_streams, graph_from_stream
 
 
-class TestGarbageCollectedScheduler:
+def _per_step_loop(scheduler, policy=None, verify_c2=False):
+    """The §4 loop over adopted instances, deleting after every step."""
+    return Engine.from_parts(
+        scheduler, policy, sweep_interval=1, verify_c2=verify_c2
+    )
+
+
+class TestPerStepLoopFromParts:
     def test_loop_deletes_and_counts(self):
-        gc = GarbageCollectedScheduler(
+        engine = _per_step_loop(
             ConflictGraphScheduler(), EagerC1Policy(), verify_c2=True
         )
-        gc.feed_many(example1_schedule())
-        assert gc.stats.deletions >= 1
-        assert gc.stats.steps_fed == len(example1_schedule())
-        assert gc.stats.peak_graph_size >= len(gc.graph)
-        assert "eager-c1" in repr(gc)
+        engine.feed_many(example1_schedule())
+        assert engine.stats.deletions >= 1
+        assert engine.stats.steps_fed == len(example1_schedule())
+        assert engine.stats.peak_graph_size >= len(engine.graph)
+        assert "eager-c1" in repr(engine)
 
     def test_default_policy_keeps_everything(self):
-        gc = GarbageCollectedScheduler(ConflictGraphScheduler())
-        gc.feed_many(example1_schedule())
-        assert gc.stats.deletions == 0
-        assert len(gc.graph.completed_transactions()) == 2
+        engine = _per_step_loop(ConflictGraphScheduler())
+        engine.feed_many(example1_schedule())
+        assert engine.stats.deletions == 0
+        assert len(engine.graph.completed_transactions()) == 2
 
     def test_verify_c2_catches_rogue_policy(self):
         class RoguePolicy(NeverDeletePolicy):
@@ -54,29 +62,29 @@ class TestGarbageCollectedScheduler:
             def select(self, scheduler):
                 return frozenset(scheduler.graph.completed_transactions())
 
-        gc = GarbageCollectedScheduler(
+        engine = _per_step_loop(
             ConflictGraphScheduler(), RoguePolicy(), verify_c2=True
         )
         with pytest.raises(UnsafeDeletionError):
-            gc.feed_many(example1_schedule())
+            engine.feed_many(example1_schedule())
 
     def test_stats_dict(self):
-        gc = GarbageCollectedScheduler(ConflictGraphScheduler(), EagerC1Policy())
-        gc.feed_many(example1_schedule())
-        payload = gc.stats.as_dict()
+        engine = _per_step_loop(ConflictGraphScheduler(), EagerC1Policy())
+        engine.feed_many(example1_schedule())
+        payload = engine.stats.as_dict()
         assert payload["steps_fed"] == 8
-        assert payload["deletions"] == gc.stats.deletions
+        assert payload["deletions"] == engine.stats.deletions
 
     def test_on_long_stream_matches_runner(self):
         config = WorkloadConfig(n_transactions=25, n_entities=6, seed=4)
         stream = basic_stream(config)
-        gc = GarbageCollectedScheduler(
+        engine = _per_step_loop(
             ConflictGraphScheduler(), EagerC1Policy(), verify_c2=True
         )
-        gc.feed_many(stream)
+        engine.feed_many(stream)
         from repro.analysis.serializability import is_conflict_serializable
 
-        assert is_conflict_serializable(gc.accepted_subschedule())
+        assert is_conflict_serializable(engine.accepted_subschedule())
 
 
 class TestGraphSerialization:

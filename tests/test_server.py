@@ -235,6 +235,38 @@ class TestDurableTenants:
         asyncio.run(_run())
 
 
+    def test_flush_pending_on_one_shard_durable_tenant(self, tmp_path):
+        """A durable one-shard tenant answers ``flush_pending`` like an
+        in-memory one — 0 flushed — and keeps serving: the control op is
+        a model answer, never an infrastructure failure that demotes."""
+        wal = str(tmp_path / "w")
+
+        async def _run() -> None:
+            server = ReproServer()
+            host, port = await server.start()
+            try:
+                async with await AsyncServingClient.connect(host, port) as c:
+                    await c.create_tenant(
+                        "acme", wal_dir=wal,
+                        scheduler="conflict-graph", policy="eager-c1",
+                    )
+                    await c.feed_batch("acme", _steps(6))
+                    response = await c.request(
+                        {"op": "flush_pending", "tenant": "acme"}
+                    )
+                    assert response["flushed"] == 0
+                    info = await c.tenant_info("acme")
+                    assert info["state"] == "serving"
+                    assert info["demotions"] == 0
+                    # The tenant still takes writes after the control op.
+                    await c.feed_batch("acme", _steps(3, prefix="U"))
+                    assert (await c.query("acme", "stats"))["steps_fed"] == 9
+            finally:
+                await server.close()
+
+        asyncio.run(_run())
+
+
 class TestProtocol:
     async def _raw_roundtrip(self, host, port, lines):
         reader, writer = await asyncio.open_connection(host, port)

@@ -19,7 +19,7 @@ from repro.core.policies import (
     NeverDeletePolicy,
     NoncurrentPolicy,
 )
-from repro.manager import GarbageCollectedScheduler
+from repro.engine import Engine
 from repro.scheduler.certifier import Certifier
 from repro.scheduler.conflict import ConflictGraphScheduler
 from repro.scheduler.locking import StrictTwoPhaseLocking
@@ -112,12 +112,13 @@ class TestLongVariantStreams:
         assert metrics.aborted_transactions == 0  # delays, never aborts
         assert metrics.deleted_transactions >= 140
 
-    def test_gc_facade_soak_with_verification(self):
-        gc = GarbageCollectedScheduler(
-            ConflictGraphScheduler(), EagerC1Policy(), verify_c2=True
+    def test_per_step_engine_soak_with_verification(self):
+        engine = Engine.from_parts(
+            ConflictGraphScheduler(), EagerC1Policy(),
+            sweep_interval=1, verify_c2=True,
         )
-        gc.feed_many(basic_stream(LONG))
-        assert gc.stats.deletions > 200
-        assert gc.stats.peak_retained_completed <= irreducible_bound(
+        engine.feed_many(basic_stream(LONG))
+        assert engine.stats.deletions > 200
+        assert engine.stats.peak_retained_completed <= irreducible_bound(
             LONG.multiprogramming, LONG.n_entities
         )
