@@ -165,6 +165,8 @@ class ReducedGraph:
         self._info: Dict[TxnId, TxnInfo] = {}
         self._deleted: set[TxnId] = set()
         self._aborted: set[TxnId] = set()
+        # ``_aborted`` in abort order: checkpoints store only its tail.
+        self._abort_log: List[TxnId] = []
         # Inverted entity indexes, as masks: per entity, the transactions
         # with any executed access and those with an executed write
         # (likewise for declared futures).  With two access modes the
@@ -541,6 +543,12 @@ class ReducedGraph:
         """Membership test against the aborted set (no copy)."""
         return txn in self._aborted
 
+    @property
+    def abort_log(self) -> List[TxnId]:
+        """The aborted ids in abort order (a live list; a deserialized
+        graph starts it sorted)."""
+        return self._abort_log
+
     # -- entity-indexed queries ------------------------------------------------
 
     def accessors_of(
@@ -701,6 +709,7 @@ class ReducedGraph:
         self._closure.remove_node_abort(txn)
         del self._info[txn]
         self._aborted.add(txn)
+        self._abort_log.append(txn)
         self._unindex_state(bit)
         self._drop_entity_index(bit, info)
         self._bump()
@@ -796,6 +805,7 @@ class ReducedGraph:
         clone._info = {txn: info.copy() for txn, info in self._info.items()}
         clone._deleted = set(self._deleted)
         clone._aborted = set(self._aborted)
+        clone._abort_log = list(self._abort_log)
         for txn, info in clone._info.items():
             clone._index_payload(txn, info)
         return clone

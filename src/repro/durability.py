@@ -18,18 +18,23 @@ its *prefix* becomes deletable the moment a checkpoint covers it.  Here:
 * **Incremental checkpoints** — every ``checkpoint_interval`` records a
   checkpoint is written atomically (tmp file + fsync + ``os.replace``).
   It holds the engine's *core*, ``snapshot(include_logs=False)``: live
-  state only (graph kernel, currency, counters).  The history-sized logs
-  — step results, the scheduler input log, the ordered deletion log —
-  are the paper's forgettable history, and each checkpoint stores only
-  their **delta** since the previous one: ``engine.log_delta(marks)``,
-  where *marks* is the ``engine.log_marks()`` the previous checkpoint
-  took.  A sharded engine's delta nests one per-shard delta.  This
-  module never looks inside either payload, so it serves a plain and a
-  sharded engine through the same code.  Per-checkpoint cost is O(live
-  state + interval), not O(history) — checkpoints stay cheap forever,
-  which is what makes a small interval affordable (benchmarked in E17).
-  Files are stamped ``format`` :data:`CHECKPOINT_FORMAT` (2: the
-  nested-delta shape).
+  state only (graph kernel, currency, counters, and for a sharded
+  engine the router's forest, which holds live keys only).  The
+  history-sized sections are the paper's forgettable history, and each
+  checkpoint stores only their **delta** since the previous one:
+  ``engine.log_delta(marks)``, where *marks* is the
+  ``engine.log_marks()`` the previous checkpoint took.  The logs are the
+  step results, the scheduler input log, the ordered deletion log and
+  the graph's abort log; a sharded engine adds its global result and
+  deletion logs and nests one per-shard delta.  The aborted sets of the
+  schedulers and of the sharded router have no log of their own: each
+  is rebuilt from the results of its only writer, ``feed``.  This module
+  never looks inside either payload, so it serves a plain and a sharded
+  engine through the same code.  Per-checkpoint cost is O(live state +
+  interval), not O(history) — checkpoints stay cheap forever, which is
+  what makes a small interval affordable (benchmarked in E17).  Files
+  are stamped ``format`` :data:`CHECKPOINT_FORMAT` (3: aborted sets out
+  of the core; format-2 files are not read).
 * **Truncation** — segments are grouped into *epochs* that roll at each
   checkpoint; once the checkpoint is durably on disk every segment of an
   older epoch is covered by it and deleted.  The WAL's steady-state
@@ -102,7 +107,7 @@ __all__ = [
 MANIFEST_FORMAT = 1
 MANIFEST_KIND = "wal-manifest"
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 CHECKPOINT_KIND = "durability-checkpoint"
 
 _SEGMENTS_DIR = "segments"

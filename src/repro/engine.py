@@ -396,6 +396,11 @@ class BatchFeeder:
         )
 
 
+def _aborted_in(results: List[Dict[str, Any]]) -> List[Any]:
+    """The sorted aborted set a run of serialized results implies."""
+    return sorted({txn for result in results for txn in result["aborted"]})
+
+
 def _check_spliced(expected: Any, spliced: List[Any], what: str) -> None:
     """A core's recorded log length must match its spliced delta chain."""
     if expected is not None and expected != len(spliced):
@@ -859,10 +864,10 @@ class Engine(BatchFeeder):
         a faithful rebuild and raise :class:`EngineError`).
 
         ``include_logs=False`` omits every history-sized section — the
-        scheduler's result and input logs, the graph's tombstone list and
-        the stats' deletion log (see :meth:`log_delta`).  Such a *core* is
-        **not** restorable on its own: :meth:`splice_logs` puts a chain
-        of log deltas back in first.
+        scheduler's result and input logs and aborted set, the graph's
+        tombstone and aborted lists, and the stats' deletion log (see
+        :meth:`log_delta`).  Such a *core* is **not** restorable on its
+        own: :meth:`splice_logs` puts a chain of log deltas back in first.
         """
         if self.config is None:
             raise EngineError(
@@ -895,13 +900,16 @@ class Engine(BatchFeeder):
 
         The input log is marked separately from the result log: a step
         whose processing *raised* is recorded in the scheduler's input
-        log but produces no result.
+        log but produces no result.  ``aborted`` marks the graph's abort
+        log, which the results cannot rebuild (only some schedulers
+        remove an aborted transaction through the graph).
         """
         scheduler = self.scheduler
         return {
             "results": len(scheduler._results),
             "input": len(scheduler._input_log),
             "deleted": len(self.stats.deleted_ids),
+            "aborted": len(scheduler.graph.abort_log),
         }
 
     def log_delta(self, marks: Dict[str, Any]) -> Dict[str, Any]:
@@ -919,6 +927,7 @@ class Engine(BatchFeeder):
                 step_to_dict(s) for s in scheduler._input_log[marks["input"] :]
             ],
             "deleted": list(self.stats.deleted_ids[marks["deleted"] :]),
+            "aborted": scheduler.graph.abort_log[marks["aborted"] :],
         }
 
     @staticmethod
@@ -931,10 +940,12 @@ class Engine(BatchFeeder):
         results: List[Any] = []
         inputs: List[Any] = []
         deleted: List[Any] = []
+        aborted: List[Any] = []
         for delta in deltas:
             results.extend(delta["results"])
             inputs.extend(delta["input"])
             deleted.extend(delta["deleted"])
+            aborted.extend(delta["aborted"])
         state = core["scheduler_state"]
         _check_spliced(
             state.pop("log_len", None), results, "scheduler log entries"
@@ -944,7 +955,9 @@ class Engine(BatchFeeder):
         )
         state["results"] = results
         state["input_log"] = inputs
+        state["aborted"] = _aborted_in(results)
         state["graph"]["deleted"] = sorted(deleted)
+        state["graph"]["aborted"] = sorted(aborted)
         core["stats"]["deleted_ids"] = deleted
         return core
 
@@ -1039,6 +1052,10 @@ class ShardedEngine(BatchFeeder):
       materialize transactions that never took a step.
     * Steps of already-aborted transactions are answered ``IGNORED`` at
       the router, exactly like a monolithic scheduler's input filter.
+    * Any other non-BEGIN step of a transaction that is not live (never
+      begun, deleted, or closed at commit) is refused before routing:
+      shard 0's scheduler, which does not know the transaction either,
+      raises the monolith's error, and the router is left untouched.
     * The certifier's logical clock is re-synced to the global step
       counter before every feed (:meth:`SchedulerBase.sync_clock`), so
       its timestamp comparisons survive migrations.
@@ -1185,20 +1202,25 @@ class ShardedEngine(BatchFeeder):
 
     def _route_and_feed(self, step: Step) -> StepResult:
         txn = step.txn
-        if isinstance(step, (Begin, BeginDeclared)) and txn in self._deleted_set:
+        begins = isinstance(step, (Begin, BeginDeclared))
+        if begins and txn in self._deleted_set:
             # The deleting shard's graph holds the tombstone, but the
             # group may since have migrated elsewhere; enforce the
             # monolith's id-reuse rule here so the error is identical.
             raise TransactionStateError(
                 f"transaction id {txn!r} was already used and removed"
             )
+        unrouted = not (
+            txn in self._pending_begin or self._router.knows_txn(txn)
+        )
+        if unrouted and not begins:
+            # Not live (never begun, deleted, or closed at commit): refused
+            # before routing, since a step that is never applied must not
+            # merge groups.  No shard knows the transaction, so shard 0's
+            # scheduler raises exactly the monolith's error.
+            return self._feed_shard(0, step)
         entities = footprint_of(step)
-        if (
-            isinstance(step, (Begin, BeginDeclared))
-            and not entities
-            and txn not in self._pending_begin
-            and not self._router.knows_txn(txn)
-        ):
+        if unrouted and not entities:
             self._pending_begin[txn] = step
             return StepResult(step, Decision.ACCEPTED)
         shard = self._resolve(txn, entities)
@@ -1219,6 +1241,11 @@ class ShardedEngine(BatchFeeder):
         engine = self._engines[shard_index]
         engine.scheduler.sync_clock(self._ticks)
         result = engine.feed(step)
+        for txn in result.committed:
+            if txn not in engine.graph:
+                # Closed at commit (strict 2PL retains nothing), or
+                # already swept by this very feed: no longer live.
+                self._router.on_txn_removed(txn)
         self._refresh_shard_totals(shard_index)
         return result
 
@@ -1393,6 +1420,13 @@ class ShardedEngine(BatchFeeder):
         return AuditRecord(txn, "unknown")
 
     def shard_of(self, txn: TxnId) -> Optional[int]:
+        """The shard holding *txn*'s live state; ``None`` once it is no
+        longer live (deleted, aborted, or closed at commit by a scheduler
+        that retains nothing) and before its deferred BEGIN materializes.
+
+        The router forgets a transaction the moment it leaves live state,
+        which is what keeps its forest and checkpoints O(live state).
+        """
         return self._router.shard_of_txn(txn)
 
     def accepted_subschedule(self) -> Schedule:
@@ -1460,9 +1494,9 @@ class ShardedEngine(BatchFeeder):
         by re-snapshot yields an identical payload.
 
         ``include_logs=False`` omits the global result and deletion logs
-        (replaced by length markers) and every shard's history-sized
-        sections — a checkpoint core, not restorable until
-        :meth:`splice_logs` puts the log deltas back in.
+        (replaced by length markers), the router-level aborted set, and
+        every shard's history-sized sections — a checkpoint core, not
+        restorable until :meth:`splice_logs` puts the log deltas back in.
         """
         from repro.io import step_result_to_dict, step_to_dict
 
@@ -1480,7 +1514,6 @@ class ShardedEngine(BatchFeeder):
                 step_to_dict(self._pending_begin[txn])
                 for txn in sorted(self._pending_begin)
             ],
-            "aborted": sorted(self._aborted),
             "engine": {
                 "steps_fed": self._steps_fed,
                 "ticks": self._ticks,
@@ -1489,13 +1522,16 @@ class ShardedEngine(BatchFeeder):
             },
         }
         if include_logs:
+            payload["aborted"] = sorted(self._aborted)
             payload["deleted_ids"] = list(self._deleted_ids)
             payload["results"] = [
                 step_result_to_dict(r) for r in self._results
             ]
         else:
-            # Both grow with history, not live state; incremental
-            # checkpoints reconstruct them from their delta chain.
+            # All three grow with history, not live state; incremental
+            # checkpoints reconstruct them from their delta chain (feed
+            # is the aborted set's only writer, so the spliced results
+            # rebuild it).
             payload["deleted_ids_len"] = len(self._deleted_ids)
             payload["results_len"] = len(self._results)
         return payload
@@ -1549,6 +1585,7 @@ class ShardedEngine(BatchFeeder):
         )
         core["results"] = results
         core["deleted_ids"] = deleted
+        core["aborted"] = _aborted_in(results)
         for shard_core, chain in zip(core["shards"], shard_chains):
             Engine.splice_logs(shard_core, chain)
         return core
@@ -1586,7 +1623,7 @@ class ShardedEngine(BatchFeeder):
             engine._deleted_set = set(engine._deleted_ids)
             engine._accept_pos = {}
             engine._deletion_ticks = {}
-            engine._aborted = set(snapshot.get("aborted", ()))
+            engine._aborted = set(snapshot["aborted"])
             engine._pending_begin = {}
             for item in snapshot.get("pending", ()):
                 step = step_from_dict(item)

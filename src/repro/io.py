@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from sys import intern
 from typing import Any, Dict, List, Optional
 
 from repro.core.reduced_graph import ReducedGraph, TxnInfo
@@ -132,7 +133,7 @@ def atomic_write_json(
 
 
 def graph_to_dict(
-    graph: ReducedGraph, *, include_deleted: bool = True
+    graph: ReducedGraph, *, include_history: bool = True
 ) -> Dict[str, Any]:
     """A JSON-ready dict capturing the whole reduced graph.
 
@@ -141,11 +142,11 @@ def graph_to_dict(
     without re-propagating the closure; ``arcs`` stays in the payload for
     human audit and cross-checks.
 
-    ``include_deleted=False`` omits the ``deleted`` tombstone list — the
-    one section that grows with *history* rather than live state (O(d
-    log d) to build).  The durability layer's incremental checkpoints
-    reconstruct it from their delta chain; such a payload is not loadable
-    until the list is spliced back.
+    ``include_history=False`` omits the ``deleted`` and ``aborted`` id
+    lists — the two sections that grow with *history* rather than live
+    state (O(n log n) to build).  The durability layer's incremental
+    checkpoints reconstruct them from their delta chain; such a payload
+    is not loadable until the lists are spliced back.
 
     Not allowed while a deletion trial is open: the payload would record
     the to-be-rolled-back deletions as permanent and serialize their
@@ -178,10 +179,10 @@ def graph_to_dict(
         "format": _FORMAT_VERSION,
         "nodes": nodes,
         "arcs": sorted(graph.arcs()),
-        "aborted": sorted(graph.aborted_transactions()),
         "closure": graph.kernel.state_dict(),
     }
-    if include_deleted:
+    if include_history:
+        payload["aborted"] = sorted(graph.aborted_transactions())
         payload["deleted"] = sorted(graph.deleted_transactions())
     return payload
 
@@ -273,7 +274,8 @@ def graph_from_dict(payload: Dict[str, Any]) -> ReducedGraph:
         # Deletion/abort bookkeeping: restore so id-reuse protection
         # survives a round trip.
         graph._deleted.update(payload.get("deleted", ()))
-        graph._aborted.update(payload.get("aborted", ()))
+        graph._abort_log = sorted(payload.get("aborted", ()))
+        graph._aborted.update(graph._abort_log)
     except ModelError:
         raise
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -326,26 +328,33 @@ def step_to_dict(step: Step) -> Dict[str, Any]:
 def step_from_dict(item: Dict[str, Any]) -> Step:
     """Inverse of :func:`step_to_dict`.
 
+    Transaction and entity names are interned: every decoded step of one
+    transaction (wire, WAL replay, snapshot restore) then shares one
+    string object with the engine's retained logs, instead of holding a
+    fresh copy per step.
+
     Raises :class:`ModelError` (naming the offending field) on truncated
     or type-mangled payloads — never a raw ``KeyError``.
     """
     kind = _require_section(item, "kind", "step payload")
     try:
         if kind == "begin":
-            return Begin(item["txn"])
+            return Begin(intern(item["txn"]))
         if kind == "begin_declared":
             return BeginDeclared(
-                item["txn"],
-                {e: AccessMode[m] for e, m in item["declared"].items()},
+                intern(item["txn"]),
+                {intern(e): AccessMode[m] for e, m in item["declared"].items()},
             )
         if kind == "read":
-            return Read(item["txn"], item["entity"])
+            return Read(intern(item["txn"]), intern(item["entity"]))
         if kind == "write":
-            return Write(item["txn"], frozenset(item["entities"]))
+            return Write(
+                intern(item["txn"]), frozenset(map(intern, item["entities"]))
+            )
         if kind == "write_item":
-            return WriteItem(item["txn"], item["entity"])
+            return WriteItem(intern(item["txn"]), intern(item["entity"]))
         if kind == "finish":
-            return Finish(item["txn"])
+            return Finish(intern(item["txn"]))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelError(
             f"step payload of kind {kind!r} has a missing or invalid "

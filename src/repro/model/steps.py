@@ -21,7 +21,9 @@ Predeclared model (Section 5)
     steps.)
 
 Steps are immutable value objects; schedulers never mutate them.  Every step
-carries the id of the transaction issuing it.
+carries the id of the transaction issuing it.  They are slotted (no
+per-instance ``__dict__``): an engine retains every fed step in its logs,
+so the bytes per step are a memory cost of the whole history.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
 TxnId = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Begin:
     """BEGIN step: *"every transaction starts with a BEGIN step"* (§2)."""
 
@@ -60,7 +62,7 @@ class Begin:
         return f"begin({self.txn})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeginDeclared:
     """BEGIN of a predeclared transaction, carrying its declared accesses.
 
@@ -94,7 +96,7 @@ class BeginDeclared:
         return f"begin({self.txn}; declares {body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read:
     """Read step ``r x`` of a transaction."""
 
@@ -105,7 +107,7 @@ class Read:
         return f"r{self.entity}({self.txn})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Write:
     """The *final atomic* write step of the basic model.
 
@@ -126,7 +128,7 @@ class Write:
         return f"w{{{body}}}({self.txn})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteItem:
     """A single write step ``w x`` in the multiple-write-step model (§5)."""
 
@@ -137,7 +139,7 @@ class WriteItem:
         return f"w{self.entity}({self.txn})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finish:
     """End-of-steps marker in the multiwrite model.
 

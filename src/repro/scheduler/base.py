@@ -149,21 +149,25 @@ class SchedulerBase(ABC):
         state :meth:`_snapshot_extra` contributes (parked step queues, lock
         tables, certification clocks, ...).
 
-        ``include_logs=False`` omits the input log and result list —
-        the sections whose size grows with history rather than with live
-        state — and records only their length (``log_len``).  The
-        durability layer uses this for *incremental* checkpoints: it
-        persists the log tail separately as per-checkpoint deltas and
-        splices the full logs back in before :meth:`restore_state`, which
-        always expects a complete payload.
+        ``include_logs=False`` omits the input log, the result list and
+        the aborted set — the sections whose size grows with history
+        rather than with live state (the graph drops its tombstone and
+        aborted lists too) — and records only the two log lengths
+        (``log_len``, ``input_len``).  The durability layer uses this for
+        *incremental* checkpoints: it persists the log tails separately
+        as per-checkpoint deltas and splices the full sections back in
+        before :meth:`restore_state`, which always expects a complete
+        payload.  The aborted set needs no delta of its own: :meth:`feed`
+        is its only writer, so it is the union of the results' aborted
+        ids.
         """
         state = {
-            "graph": graph_to_dict(self.graph, include_deleted=include_logs),
+            "graph": graph_to_dict(self.graph, include_history=include_logs),
             "currency": currency_to_dict(self.currency),
-            "aborted": sorted(self._aborted),
             "extra": self._snapshot_extra(),
         }
         if include_logs:
+            state["aborted"] = sorted(self._aborted)
             state["input_log"] = [step_to_dict(s) for s in self._input_log]
             state["results"] = [step_result_to_dict(r) for r in self._results]
         else:

@@ -32,7 +32,7 @@ class Decision(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     """Everything that happened while processing one step.
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.errors import EngineError
+from repro.errors import EngineError, SnapshotError
 from repro.model.entities import Entity
 from repro.model.steps import BeginDeclared, Step, TxnId, accessed_entities
 
@@ -110,7 +110,7 @@ class UnionFind:
         return root
 
     def union(self, a: Key, b: Key) -> Tuple[Key, Optional[Key]]:
-        """Merge the sets of *a* and *b*.
+        """Merge the sets of *a* and *b*; on a size tie *a*'s root survives.
 
         Returns ``(surviving_root, absorbed_root)``; ``absorbed_root`` is
         ``None`` when the two were already one set.
@@ -123,6 +123,17 @@ class UnionFind:
         self._parent[root_b] = root_a
         self._size[root_a] += self._size.pop(root_b)
         return root_a, root_b
+
+    def remove_leaf(self, key: Key) -> Key:
+        """Drop *key*, which no other key may point to (a leaf or a
+        singleton root); returns the root it belonged to."""
+        root = self.find(key)
+        del self._parent[key]
+        if root == key:
+            del self._size[key]
+        else:
+            self._size[root] -= 1
+        return root
 
 
 @dataclass(frozen=True)
@@ -153,11 +164,16 @@ class FootprintRouter:
     (by live transactions) into the larger group's shard.  The caller must
     execute the returned migrations before feeding the step.
 
-    Memory: entity keys are bounded by the entity population, but
-    transaction keys accumulate with history (union-find forests do not
-    support deletion) — the same growth class as a monolithic scheduler's
-    tombstone sets and input logs, and orders of magnitude below the
-    closure state the sharding bounds.
+    Memory: the forest holds exactly the entity keys plus the keys of
+    *live* transactions.  Entity roots win size ties, so a transaction
+    key never becomes a parent: it is a leaf under an entity-rooted group
+    or the root of a singleton, entity-less group.  Either way
+    :meth:`on_txn_removed` drops it at once (with the singleton's group
+    metadata), so the forest, the state :meth:`state_dict` serializes,
+    and every checkpoint of it stay O(live state) however long the
+    history.  Root names and ``_size`` only steer the forest's shape;
+    shard choice and migrations read the group metadata alone, so the
+    tie-break changes no routing decision.
     """
 
     def __init__(self, shards: int) -> None:
@@ -180,6 +196,7 @@ class FootprintRouter:
     # -- queries -----------------------------------------------------------------
 
     def knows_txn(self, txn: TxnId) -> bool:
+        """Is *txn* live in some group?  (False once it was removed.)"""
         return (_TXN, txn) in self._uf
 
     def shard_of_txn(self, txn: TxnId) -> Optional[int]:
@@ -272,7 +289,11 @@ class FootprintRouter:
         entities_b = self._root_entities.pop(root_b)
         self._root_shard.pop(root_a, None)
         self._root_shard.pop(root_b, None)
-        survivor, absorbed = self._uf.union(root_a, root_b)
+        # Entity roots win size ties (see the class docstring).
+        if root_a[0] == _TXN:
+            survivor, absorbed = self._uf.union(root_b, root_a)
+        else:
+            survivor, absorbed = self._uf.union(root_a, root_b)
         assert absorbed is not None
         if shard_a is None or shard_b is None or shard_a == shard_b:
             shard = shard_a if shard_a is not None else shard_b
@@ -316,17 +337,23 @@ class FootprintRouter:
         return survivor
 
     def on_txn_removed(self, txn: TxnId) -> None:
-        """A transaction left its shard's live state (abort or deletion)."""
+        """A transaction left its shard's live state (abort, deletion, or
+        a commit its scheduler keeps nothing of).
+
+        Its key leaves the forest at once; a singleton, entity-less group
+        goes with it, since no step can reach that group again (the
+        engine never routes a step of an aborted or deleted transaction).
+        """
         key = (_TXN, txn)
         if key not in self._uf:
             return
-        root = self._uf.find(key)
-        txns = self._root_txns.get(root)
-        if txns is not None and txn in txns:
-            txns.discard(txn)
-            shard = self._root_shard.get(root)
-            if shard is not None:
-                self._live_per_shard[shard] -= 1
+        root = self._uf.remove_leaf(key)
+        self._root_txns[root].discard(txn)
+        self._live_per_shard[self._root_shard[root]] -= 1
+        if root == key:
+            del self._root_txns[root]
+            del self._root_entities[root]
+            del self._root_shard[root]
 
     # -- checkpointing --------------------------------------------------------------
 
@@ -392,6 +419,21 @@ class FootprintRouter:
         router.merges = int(payload.get("merges", 0))
         router.migrations = int(payload.get("migrations", 0))
         router.migrated_txns = int(payload.get("migrated_txns", 0))
+        live = set().union(*router._root_txns.values())
+        for key, parent in router._uf._parent.items():
+            # on_txn_removed relies on live, leaf-only transaction keys:
+            # fail here, not with a corrupt forest at a later removal.
+            if key[0] == _TXN and key[1] not in live:
+                bad = key
+            elif parent[0] == _TXN and parent != key:
+                bad = parent
+            else:
+                continue
+            raise SnapshotError(
+                f"router forest key {cls._encode(bad)!r} is a dead or "
+                "non-leaf transaction key; was the snapshot taken before "
+                "routers kept live keys only?"
+            )
         return router
 
     def __repr__(self) -> str:

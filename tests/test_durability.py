@@ -312,6 +312,9 @@ class TestDurableEngine:
         assert "input_log" not in core_state
         assert "deleted" not in core_state["graph"]
         assert "deleted_ids" not in latest["core"]["stats"]
+        # Aborted sets are history too: rebuilt from the delta chain.
+        assert "aborted" not in core_state
+        assert "aborted" not in core_state["graph"]
         total = sum(len(p["delta"]["results"]) for p in payloads)
         assert total == latest["seq"]
 

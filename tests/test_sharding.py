@@ -17,6 +17,8 @@ from repro.engine import Engine, EngineConfig, ShardedEngine, build_engine
 from repro.errors import (
     EngineError,
     GraphError,
+    ReproError,
+    SchedulerError,
     SnapshotError,
     TransactionStateError,
 )
@@ -27,7 +29,7 @@ from repro.io import (
     restore_engine,
 )
 from repro.model.status import AccessMode, TxnState
-from repro.model.steps import Begin, BeginDeclared, Read, Write
+from repro.model.steps import Begin, BeginDeclared, Finish, Read, Write, WriteItem
 from repro.scheduler.events import Decision
 from repro.sharding import FootprintRouter, UnionFind, footprint_of
 from repro.tracking import CurrencyTracker
@@ -105,6 +107,32 @@ class TestFootprintRouter:
         # Unknown ids are a no-op (pending begins never materialized).
         router.on_txn_removed("nope")
 
+    def test_removed_txn_keys_leave_the_forest(self):
+        router = FootprintRouter(2)
+        router.assign("T1", {"x", "y"})
+        router.assign("T2", {"y", "z"})
+        router.assign("T3", frozenset())  # an entity-less singleton group
+        assert len(router._uf) == 6
+        for txn in ("T1", "T2", "T3"):
+            router.on_txn_removed(txn)
+            assert not router.knows_txn(txn)
+            assert router.shard_of_txn(txn) is None
+        # Only the entity keys remain, all in one group; T3's group is gone.
+        assert sorted(router._uf._parent) == [("e", "x"), ("e", "y"), ("e", "z")]
+        assert list(router._root_txns.values()) == [set()]
+        assert router.live_counts() == (0, 0)
+
+    def test_txn_keys_are_never_parents(self):
+        """Entity roots win size ties, so every transaction key stays a
+        leaf (or a singleton root) and can leave the forest at once."""
+        router = FootprintRouter(3)
+        for index in range(40):
+            entities = {f"e{index % 7}", f"e{(index * 3) % 11}"}
+            router.assign(f"T{index}", entities if index % 5 else frozenset())
+        assert any(key[0] == "t" for key in router._uf._size)  # T0, T5, ...
+        for key, parent in router._uf._parent.items():
+            assert parent[0] == "e" or parent == key
+
     def test_state_dict_round_trip_is_exact(self):
         router = FootprintRouter(3)
         router.assign("T1", {"x", "y"})
@@ -116,6 +144,26 @@ class TestFootprintRouter:
         assert clone.state_dict() == state
         assert clone.shard_of_txn("T3") == router.shard_of_txn("T3")
         assert clone.live_counts() == router.live_counts()
+
+    def test_from_state_refuses_dead_or_parent_txn_keys(self):
+        router = FootprintRouter(2)
+        router.assign("T1", {"x"})
+        state = router.state_dict()
+        dead = dict(state, parent={**state["parent"], "t:T9": "e:x"})
+        with pytest.raises(SnapshotError, match="'t:T9' is a dead"):
+            FootprintRouter.from_state(dead)
+        # The pre-live-keys layout: a transaction key as the group root.
+        parent = {"e:x": "t:T1", "t:T1": "t:T1"}
+        legacy = dict(
+            state,
+            parent=parent,
+            size={"t:T1": 2},
+            root_shard={"t:T1": 0},
+            root_txns={"t:T1": ["T1"]},
+            root_entities={"t:T1": ["x"]},
+        )
+        with pytest.raises(SnapshotError, match="'t:T1' is a dead or non-leaf"):
+            FootprintRouter.from_state(legacy)
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(EngineError):
@@ -236,6 +284,64 @@ def test_currency_extract_absorb():
 # ---------------------------------------------------------------------------
 # ShardedEngine behaviors
 # ---------------------------------------------------------------------------
+
+
+def _one_txn(scheduler, txn, entity):
+    """A one-entity read-write transaction in *scheduler*'s step model."""
+    if scheduler == "multiwrite":
+        return [Begin(txn), Read(txn, entity), WriteItem(txn, entity), Finish(txn)]
+    if scheduler == "predeclared":
+        return [
+            BeginDeclared(txn, {entity: AccessMode.WRITE}),
+            WriteItem(txn, entity),
+            Finish(txn),
+        ]
+    return [Begin(txn), Read(txn, entity), Write(txn, {entity})]
+
+
+@pytest.mark.parametrize(
+    "scheduler,policy",
+    [
+        ("conflict-graph", "eager-c1"),
+        ("certifier", "noncurrent"),
+        ("strict-2pl", "lemma1"),
+        ("multiwrite", "eager-c3"),
+        ("predeclared", "eager-c4"),
+    ],
+)
+def test_refused_step_of_dead_txn_leaves_router_untouched(scheduler, policy):
+    """A step of a transaction that is no longer live (deleted, or closed
+    at commit by strict 2PL) raises the monolith's error and must not
+    merge its entities into a group: the step was never applied."""
+    stream = []
+    for txn, entity in (("T1", "x"), ("T2", "y"), ("T3", "x"), ("T4", "y")):
+        stream += _one_txn(scheduler, txn, entity)
+    config = dict(scheduler=scheduler, policy=policy, sweep_interval=1)
+    mono = Engine(**config)
+    engine = ShardedEngine(shards=2, **config)
+    for step in stream:
+        assert mono.feed(step) == engine.feed(step)
+    assert "T1" in engine.deleted_transactions() or scheduler == "strict-2pl"
+    router_before = engine.router.state_dict()
+    step = Read("T1", "y")
+    with pytest.raises(ReproError) as expected:
+        mono.feed(step)
+    with pytest.raises(type(expected.value)) as refused:
+        engine.feed(step)
+    assert str(refused.value) == str(expected.value)
+    assert engine.router.state_dict() == router_before
+    assert engine.shard_of("T1") is None
+
+
+def test_step_of_never_begun_txn_leaks_no_live_count():
+    engine = ShardedEngine(scheduler="conflict-graph", policy="never", shards=2)
+    engine.feed(Begin("T1"))
+    engine.feed(Read("T1", "x"))
+    router_before = engine.router.state_dict()
+    with pytest.raises(SchedulerError, match="unknown transaction 'T9'"):
+        engine.feed(Read("T9", "x"))
+    assert engine.router.state_dict() == router_before
+    assert engine.router.live_counts() in ((1, 0), (0, 1))
 
 
 class TestShardedEngine:
